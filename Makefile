@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos bench bench-all benchdiff profile smoke soak trace-smoke fleet-smoke experiments report clean
+.PHONY: all build test race chaos bench bench-all benchdiff benchpair profile smoke soak trace-smoke fleet-smoke experiments report clean
 
 all: build test
 
@@ -13,10 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrent code paths: the real TCP transport and
-# the parallel sweep/replication engine.
+# Race-check the concurrent code paths: the real TCP transport, the
+# loadgen mux that shares its pooled decoder, and the parallel
+# sweep/replication engine.
 race:
-	$(GO) test -race ./internal/realnet/ ./internal/netproto/ ./internal/parfan/
+	$(GO) test -race ./internal/realnet/ ./internal/netproto/ ./internal/loadgen/ ./internal/parfan/
 	$(GO) test -race -run 'Parallel|Replicate|RunPolicies' ./internal/scenario/
 
 # Chaos gate: replay the seeded random fault plans under the race
@@ -54,6 +55,16 @@ BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 CURRENT ?= bench-ci.json
 benchdiff:
 	$(GO) run ./scripts $(BASELINE) $(CURRENT)
+
+# Paired runs of the repository benchmark (benchmark/, BENCHMARK.json)
+# against a parent commit: ten alternated pairs, per-metric medians,
+# wins of N and bound verdicts, e.g.
+# `make benchpair PARENT=HEAD~1 WORKLOADS="wire_closed fleet_tablev"`
+# (CHANGE=worktree compares uncommitted work).
+PARENT ?= HEAD~1
+WORKLOADS ?= fleet_tablev paper_suite wire_paced wire_closed soak_fleet
+benchpair:
+	bash scripts/benchpair.sh $(PARENT) $(WORKLOADS)
 
 # CPU profile of one full 100k-device fleet run, for pprof inspection
 # (`go tool pprof fleet-cpu.pprof`). The fleet-smoke CI job uploads the

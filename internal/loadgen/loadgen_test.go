@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"sync"
@@ -339,5 +340,35 @@ func BenchmarkMuxSend(b *testing.B) {
 		if err := m.Send(1, req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestMuxResponseReadZeroAlloc: a pooled connection's read loop decodes
+// and dispatches responses without allocating per response (the handler
+// gets a pointer to the one Response the loop reuses).
+func TestMuxResponseReadZeroAlloc(t *testing.T) {
+	const n = 4000
+	var stream []byte
+	for i := 0; i < n; i++ {
+		stream = netproto.AppendResponse(stream, &netproto.Response{FrameID: PackFrameID(i%7, uint32(i)), Rejected: i%3 == 0})
+	}
+	var got, wrongDev int
+	m := &Mux{stopCh: make(chan struct{})}
+	m.cfg.Handler = func(dev int, res *netproto.Response) {
+		if d, seq := UnpackFrameID(res.FrameID); d != dev || int(seq) != got {
+			wrongDev++
+		}
+		got++
+	}
+	mc := &muxConn{m: m}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	mc.read(bytes.NewReader(stream))
+	runtime.ReadMemStats(&m1)
+	if got != n || wrongDev != 0 {
+		t.Fatalf("dispatched %d of %d responses, %d to the wrong device", got, n, wrongDev)
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/100 {
+		t.Fatalf("%d allocations while reading %d responses, want none per response", allocs, n)
 	}
 }

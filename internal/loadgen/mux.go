@@ -15,6 +15,7 @@ package loadgen
 
 import (
 	"errors"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -70,7 +71,8 @@ type MuxConfig struct {
 	Seed uint64
 	// Handler receives every demultiplexed response. It is called
 	// from the pooled connection's read goroutine and must not
-	// block.
+	// block; res is reused for the next response, so it must not be
+	// kept either.
 	Handler func(dev int, res *netproto.Response)
 	// Logger receives operational messages; nil silences them.
 	Logger *log.Logger
@@ -96,6 +98,8 @@ type muxConn struct {
 	mu     sync.Mutex // guards conn and encBuf
 	conn   net.Conn
 	encBuf []byte
+
+	dec netproto.Decoder // response reader; owned by the conn goroutine
 }
 
 // NewMux starts the pool. Connections are established asynchronously
@@ -239,11 +243,13 @@ func (mc *muxConn) loop() {
 // read consumes responses from one connection until it fails,
 // dispatching each to the handler by the device index packed in the
 // frame ID.
-func (mc *muxConn) read(conn net.Conn) {
+func (mc *muxConn) read(conn io.Reader) {
 	m := mc.m
+	mc.dec.Reset(conn)
+	defer mc.dec.Reset(nil)
+	var res netproto.Response
 	for {
-		res, err := netproto.ReadResponse(conn)
-		if err != nil {
+		if err := mc.dec.ReadResponse(&res); err != nil {
 			select {
 			case <-m.stopCh: // expected during shutdown
 			default:
@@ -253,7 +259,7 @@ func (mc *muxConn) read(conn net.Conn) {
 		}
 		if m.cfg.Handler != nil {
 			dev, _ := UnpackFrameID(res.FrameID)
-			m.cfg.Handler(dev, res)
+			m.cfg.Handler(dev, &res)
 		}
 	}
 }

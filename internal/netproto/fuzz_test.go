@@ -24,6 +24,9 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, Version, TypeResponse})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte("GET / HTTP/1.1\r\n"))
+	for _, c := range corruptRequests(f) {
+		f.Add(c.msg)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ReadRequest(bytes.NewReader(data))
 		if err != nil {
@@ -51,6 +54,9 @@ func FuzzReadResponse(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:3])
 	f.Add([]byte{0, 0, 0, 0})
+	for _, c := range corruptResponses() {
+		f.Add(c.msg)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := ReadResponse(bytes.NewReader(data))
 		if err != nil {

@@ -11,6 +11,13 @@
 //
 // The request body ends with a variable-length payload — the (virtual)
 // JPEG bytes — so that offloading consumes real uplink bandwidth.
+//
+// Encoding is Append* into a caller-owned buffer. Decoding is one pure
+// function per message type (decodeRequestHead, decodeResponse) behind
+// two front ends: the streaming Decoder (decoder.go), which reads ahead
+// and keeps payloads in pooled buffers (pool.go), and the one-shot
+// ReadRequest / ReadResponse, which consume exactly one message from any
+// io.Reader.
 package netproto
 
 import (
@@ -65,6 +72,10 @@ type Request struct {
 	TraceID uint64
 	// Payload is the encoded frame.
 	Payload []byte
+
+	// buf is the pooled storage behind Payload when the request came
+	// from Decoder.ReadRequest (see Release).
+	buf *Buf
 }
 
 // Response is the server's verdict on one request.
@@ -84,6 +95,15 @@ type Response struct {
 const requestFixedLen = 4 + 8 + 1 + 8 + 1 + 4 // stream, frame, model, captured, probe, payloadLen
 const responseLen = 8 + 1 + 4 + 2
 const traceLen = 8 // optional trailing trace ID on either message
+
+// What a decoder looks at before it reserves anything: version, type
+// and the fixed fields of a request; the whole of a response.
+const requestHeadLen = 2 + requestFixedLen
+const maxResponseBody = 2 + responseLen + traceLen
+
+// MaxResponseLen is the longest encoded response, length prefix and
+// trace ID included: what a writer reserves per response it coalesces.
+const MaxResponseLen = 4 + maxResponseBody
 
 // AppendRequest appends one fully framed request message (length
 // prefix included) to buf and returns the extended slice. Callers that
@@ -190,95 +210,171 @@ func WriteResponse(w io.Writer, r *Response) error {
 	return err
 }
 
-// readFrame reads one length-prefixed message body.
-func readFrame(r io.Reader) ([]byte, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return nil, err
+// midMessage maps an end of stream inside a message to
+// io.ErrUnexpectedEOF; io.EOF is reserved for a stream that ends
+// between messages.
+func midMessage(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
+	return err
+}
+
+// bodyLen decodes a length prefix. An oversized or undersized one is
+// refused here, before anything is read or reserved for the body.
+func bodyLen(prefix []byte) (int, error) {
+	n := binary.BigEndian.Uint32(prefix)
 	if n > MaxMessageSize {
-		return nil, ErrTooLarge
+		return 0, ErrTooLarge
 	}
 	if n < 2 {
-		return nil, ErrTruncated
+		return 0, ErrTruncated
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	if body[0] != Version {
-		return nil, ErrBadVersion
-	}
-	return body, nil
+	return int(n), nil
 }
 
-// ReadRequest reads and decodes one request message.
-func ReadRequest(r io.Reader) (*Request, error) {
-	body, err := readFrame(r)
-	if err != nil {
-		return nil, err
+// The decode functions below take a message's body length n and b, the
+// first bytes of that body: as many as the function names, or fewer when
+// the stream ended or failed first, in which case short is that error.
+// What the bytes that did arrive prove wrong is reported before short,
+// so a verdict does not depend on how the stream was cut into reads.
+
+// checkKind validates the version and type bytes.
+func checkKind(b []byte, want byte, short error) error {
+	switch {
+	case len(b) < 2:
+		return short
+	case b[0] != Version:
+		return ErrBadVersion
+	case b[1] != want:
+		return ErrBadType
 	}
-	if body[1] != TypeRequest {
-		return nil, ErrBadType
+	return nil
+}
+
+// decodeRequestHead decodes everything of a request but its payload
+// and trace ID from the first min(n, requestHeadLen) body bytes. It
+// returns the payload length and whether a trace ID follows the
+// payload: the body is exactly head + payload, or that and 8 bytes, and
+// a payload length that disagrees is refused before any payload byte is
+// consumed.
+func decodeRequestHead(req *Request, n int, b []byte, short error) (payloadLen int, traced bool, err error) {
+	if err := checkKind(b, TypeRequest, short); err != nil {
+		return 0, false, err
 	}
-	if len(body) < 2+requestFixedLen {
-		return nil, ErrTruncated
+	if n < requestHeadLen {
+		return 0, false, ErrTruncated
 	}
-	req := &Request{}
-	o := 2
-	req.Stream = binary.BigEndian.Uint32(body[o:])
-	o += 4
-	req.FrameID = binary.BigEndian.Uint64(body[o:])
-	o += 8
-	req.Model = models.Model(body[o])
-	o++
-	req.CapturedUnixNano = int64(binary.BigEndian.Uint64(body[o:]))
-	o += 8
-	req.Probe = body[o] == 1
-	o++
-	payloadLen := binary.BigEndian.Uint32(body[o:])
-	o += 4
-	// The body ends with the payload, optionally followed by an 8-byte
-	// trace ID (absent in pre-trace senders).
-	switch len(body) - o {
-	case int(payloadLen):
-	case int(payloadLen) + traceLen:
-		req.TraceID = binary.BigEndian.Uint64(body[o+int(payloadLen):])
-	default:
-		return nil, ErrTruncated
+	if len(b) < requestHeadLen {
+		return 0, false, short
+	}
+	h := b[2:]
+	req.Stream = binary.BigEndian.Uint32(h)
+	req.FrameID = binary.BigEndian.Uint64(h[4:])
+	req.Model = models.Model(h[12])
+	req.CapturedUnixNano = int64(binary.BigEndian.Uint64(h[13:]))
+	req.Probe = h[21] == 1
+	req.TraceID = 0
+	trailer := int64(n-requestHeadLen) - int64(binary.BigEndian.Uint32(h[22:]))
+	if trailer != 0 && trailer != traceLen {
+		return 0, false, ErrTruncated
 	}
 	if !req.Model.Valid() {
-		return nil, fmt.Errorf("netproto: invalid model byte %d", body[6+8])
+		return 0, false, fmt.Errorf("netproto: invalid model byte %d", h[12])
 	}
-	req.Payload = body[o : o+int(payloadLen)]
-	return req, nil
+	return n - requestHeadLen - int(trailer), trailer != 0, nil
 }
 
-// ReadResponse reads and decodes one response message.
-func ReadResponse(r io.Reader) (*Response, error) {
-	body, err := readFrame(r)
+// decodeResponse decodes a response from the first
+// min(n, maxResponseBody) body bytes: exactly the fixed body, or that and
+// a trace ID.
+func decodeResponse(res *Response, n int, b []byte, short error) error {
+	if err := checkKind(b, TypeResponse, short); err != nil {
+		return err
+	}
+	if n != 2+responseLen && n != maxResponseBody {
+		return ErrTruncated
+	}
+	if len(b) < n {
+		return short
+	}
+	h := b[2:n]
+	res.FrameID = binary.BigEndian.Uint64(h)
+	res.Rejected = h[8] == 1
+	res.Label = int32(binary.BigEndian.Uint32(h[9:]))
+	res.BatchSize = binary.BigEndian.Uint16(h[13:])
+	res.TraceID = 0
+	if len(h) > responseLen {
+		res.TraceID = binary.BigEndian.Uint64(h[responseLen:])
+	}
+	return nil
+}
+
+// readLen reads a length prefix into p and returns the body length.
+func readLen(r io.Reader, p []byte) (int, error) {
+	if _, err := io.ReadFull(r, p); err != nil {
+		return 0, err
+	}
+	return bodyLen(p)
+}
+
+// ReadRequest reads and decodes one request message, consuming exactly
+// that message from r. The request and its payload are freshly
+// allocated and belong to the caller. The payload's storage is reserved
+// as the bytes arrive, like the Decoder's.
+func ReadRequest(r io.Reader) (*Request, error) {
+	// One allocation holds the result and the scratch for its head (a
+	// local array would escape through r.Read anyway).
+	s := &struct {
+		req  Request
+		head [4 + requestHeadLen]byte
+	}{}
+	n, err := readLen(r, s.head[:4])
 	if err != nil {
 		return nil, err
 	}
-	if body[1] != TypeResponse {
-		return nil, ErrBadType
+	head := s.head[4 : 4+min(n, requestHeadLen)]
+	k, err := io.ReadFull(r, head)
+	payloadLen, traced, err := decodeRequestHead(&s.req, n, head[:k], midMessage(err))
+	if err != nil {
+		return nil, err
 	}
-	if len(body) < 2+responseLen {
-		return nil, ErrTruncated
+	// The payload and the trace ID behind it, in one buffer.
+	rest := n - requestHeadLen
+	p := make([]byte, min(rest, MaxPooledBuf))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, p[got:]); err != nil {
+			return nil, midMessage(err)
+		}
+		if len(p) == rest {
+			break
+		}
+		got = len(p)
+		p = append(make([]byte, 0, min(rest, 2*got)), p...)[:min(rest, 2*got)]
 	}
-	res := &Response{}
-	o := 2
-	res.FrameID = binary.BigEndian.Uint64(body[o:])
-	o += 8
-	res.Rejected = body[o] == 1
-	o++
-	res.Label = int32(binary.BigEndian.Uint32(body[o:]))
-	o += 4
-	res.BatchSize = binary.BigEndian.Uint16(body[o:])
-	o += 2
-	if len(body)-o >= traceLen {
-		res.TraceID = binary.BigEndian.Uint64(body[o:])
+	s.req.Payload = p[:payloadLen:payloadLen]
+	if traced {
+		s.req.TraceID = binary.BigEndian.Uint64(p[payloadLen:])
 	}
-	return res, nil
+	return &s.req, nil
+}
+
+// ReadResponse reads and decodes one response message, consuming
+// exactly that message from r.
+func ReadResponse(r io.Reader) (*Response, error) {
+	// One allocation holds the result and the scratch it is decoded from.
+	s := &struct {
+		res Response
+		b   [MaxResponseLen]byte
+	}{}
+	n, err := readLen(r, s.b[:4])
+	if err != nil {
+		return nil, err
+	}
+	body := s.b[4 : 4+min(n, maxResponseBody)]
+	k, err := io.ReadFull(r, body)
+	if err := decodeResponse(&s.res, n, body[:k], midMessage(err)); err != nil {
+		return nil, err
+	}
+	return &s.res, nil
 }

@@ -13,7 +13,7 @@ import (
 // benchClient builds a minimal Client wired to an in-memory pipe so
 // the send path can be benchmarked without a TCP stack or the capture
 // loop's timing noise.
-func benchClient(b *testing.B) *Client {
+func benchClient(b testing.TB) *Client {
 	b.Helper()
 	clientSide, serverSide := net.Pipe()
 	go io.Copy(io.Discard, serverSide)

@@ -168,6 +168,8 @@ type Client struct {
 	rng     *rng.Stream // local-latency jitter; guarded by mu
 	dialRng *rng.Stream // backoff jitter; owned by redialLoop
 
+	dec netproto.Decoder // response reader; owned by receiveLoop
+
 	// Terminal state: set once when the reconnect budget runs out.
 	termOnce sync.Once
 	termCh   chan struct{}
@@ -655,9 +657,11 @@ func (c *Client) receiveLoop() {
 // readConn consumes responses from one connection until it fails.
 func (c *Client) readConn(conn net.Conn) {
 	defer c.dropConn(conn)
+	c.dec.Reset(conn)
+	defer c.dec.Reset(nil)
+	var res netproto.Response
 	for {
-		res, err := netproto.ReadResponse(conn)
-		if err != nil {
+		if err := c.dec.ReadResponse(&res); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				select {
 				case <-c.stopCh: // expected during shutdown

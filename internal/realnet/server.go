@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/models"
-	"repro/internal/netproto"
 	"repro/internal/server"
 )
 
@@ -119,9 +118,13 @@ type Server struct {
 	cfg      ServerConfig
 	listener net.Listener
 
-	reqCh  chan incoming
+	reqCh  chan *frameRec
 	doneCh chan struct{}
 	wg     sync.WaitGroup
+	// readers counts connection read loops, the senders on reqCh. The
+	// batcher keeps receiving after doneCh closes until they are all
+	// gone, so a frame sent to reqCh is always answered.
+	readers sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
@@ -142,8 +145,8 @@ type Server struct {
 	// SetSlowdown to emulate a live gpu_stall.
 	slowdown atomic.Uint64
 
-	// pending counts requests read off a connection whose reply
-	// callback has not run yet; Close's grace period waits for it to
+	// pending counts requests read off a connection that have not
+	// reached session.reply yet; Close's grace period waits for it to
 	// reach zero.
 	pending atomic.Int64
 
@@ -158,11 +161,6 @@ type Server struct {
 
 	// instr is never nil (a zero instrument set is a no-op).
 	instr *ServerInstruments
-}
-
-type incoming struct {
-	req   *netproto.Request
-	reply func(*netproto.Response)
 }
 
 // NewServer binds the listener (so the port is known immediately) and
@@ -201,10 +199,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		listener: ln,
-		reqCh:    make(chan incoming, 1024),
-		doneCh:   make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
-		instr:    instr,
+		// Deep enough that readers keep draining their sockets while
+		// the batcher is busy; beyond it they block (TCP backpressure).
+		reqCh:  make(chan *frameRec, 1024),
+		doneCh: make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
+		instr:  instr,
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -272,9 +272,11 @@ func (s *Server) Close() error {
 			time.Sleep(5 * time.Millisecond)
 		}
 
-		close(s.doneCh)
+		// closing is set before doneCh closes: every reader the
+		// batcher's shutdown must outwait is registered by then.
 		s.connMu.Lock()
 		s.closing = true
+		close(s.doneCh)
 		for conn := range s.conns {
 			conn.Close()
 		}
@@ -291,8 +293,9 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // registerConn tracks a live connection so Close can unblock its read
-// loop; it reports false when the server is already shutting down or
-// the MaxConns accept guard sheds the connection.
+// loop, and counts its read loop in s.readers; it reports false when the
+// server is already shutting down or the MaxConns accept guard sheds the
+// connection.
 func (s *Server) registerConn(conn net.Conn) (ok, shed bool) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
@@ -303,6 +306,7 @@ func (s *Server) registerConn(conn net.Conn) (ok, shed bool) {
 		return false, true
 	}
 	s.conns[conn] = struct{}{}
+	s.readers.Add(1)
 	return true, false
 }
 
@@ -331,12 +335,14 @@ func (s *Server) acceptLoop() {
 		// per attempt and nothing else.
 		ok, shed := s.registerConn(conn)
 		if !ok {
-			conn.Close()
 			if shed {
+				// Counted before the close: a peer that has seen the
+				// close finds itself in ConnsShed.
 				s.stats.connsShed.Add(1)
 				s.instr.ConnsShed.Inc()
 				s.logf("realnet: shed connection from %v (MaxConns=%d reached)", conn.RemoteAddr(), s.cfg.MaxConns)
 			}
+			conn.Close()
 			continue
 		}
 		s.wg.Add(1)
@@ -357,11 +363,11 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer s.instr.Sessions.Add(-1)
 
 	ss := newSession(s, conn)
-	s.wg.Add(1)
-	go ss.writeLoop() // closes conn when the session is fully drained
+	ss.startWriter() // closes conn when the session is fully drained
+	ss.dec.Reset(conn)
 
 	for {
-		req, err := netproto.ReadRequest(conn)
+		f, err := ss.readFrame()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("realnet: read error from %v: %v", conn.RemoteAddr(), err)
@@ -371,18 +377,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.stats.submitted.Add(1)
 		s.instr.Submitted.Inc()
 		s.pending.Add(1)
-		ss.track()
-		select {
-		case s.reqCh <- incoming{req: req, reply: ss.reply}:
-		case <-s.doneCh:
-			ss.inflight.Done()
-			s.pending.Add(-1)
-			s.stats.dropped.Add(1)
-			s.instr.Dropped.Inc()
-			goto drain
-		}
+		ss.inflight.Add(1)
+		s.reqCh <- f // the batcher owns f from here
 	}
-drain:
+	ss.dec.Reset(nil)
+	s.readers.Done()
+
 	timeout := s.cfg.DrainTimeout
 	if s.cfg.DropOnDisconnect {
 		timeout = 0
@@ -394,28 +394,36 @@ drain:
 // batchLoop is the wall-clock twin of the simulator's adaptive
 // batcher: requests accumulate per model while the "GPU" sleeps
 // through the previous batch; each new batch takes up to MaxBatch and
-// rejects the rest of its queue.
+// rejects the rest of its queue. It owns every frame from reqCh until
+// it hands the frame to its session's reply.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
-	queues := make(map[models.Model][]incoming)
+	queues := make(map[models.Model][]*frameRec)
 	order := models.All()
 	rrNext := 0
+	// The executing batch, empty while the "GPU" is idle. One timer
+	// serves every batch: it is armed only while busy and always
+	// received from (or stopped and drained) before the next Reset.
+	batch := make([]*frameRec, 0, s.cfg.MaxBatch)
 	busy := false
-	execDone := make(chan []incoming, 1)
+	execDone := time.NewTimer(time.Hour)
+	if !execDone.Stop() {
+		<-execDone.C
+	}
 
 	// Per-tenant rejection accounting. Only this goroutine rejects, so
 	// the map needs no lock; the exported counter is the CounterVec.
 	rejByTenant := make(map[uint32]uint64)
-	rejectOverflow := func(inc incoming) {
+	rejectOverflow := func(f *frameRec) {
 		s.stats.rejected.Add(1)
-		tenant := inc.req.Stream
+		tenant := f.req.Stream
 		s.instr.Rejected.WithUint(uint64(tenant)).Inc()
 		rejByTenant[tenant]++
 		if n := s.cfg.RejectLogEvery; n > 0 && (rejByTenant[tenant]-1)%uint64(n) == 0 {
 			s.logf("realnet: tenant %d: rejected frame %d (%d shed so far, logging every %d)",
-				tenant, inc.req.FrameID, rejByTenant[tenant], n)
+				tenant, f.req.FrameID, rejByTenant[tenant], n)
 		}
-		inc.reply(&netproto.Response{FrameID: inc.req.FrameID, Rejected: true, TraceID: inc.req.TraceID})
+		f.ss.reply(f, true, 0)
 	}
 
 	startBatch := func() {
@@ -431,7 +439,6 @@ func (s *Server) batchLoop() {
 			}
 		}
 		if !found {
-			busy = false
 			return
 		}
 		q := queues[m]
@@ -440,70 +447,86 @@ func (s *Server) batchLoop() {
 		if take > s.cfg.MaxBatch {
 			take = s.cfg.MaxBatch
 		}
-		batch := q[:take]
-		for _, inc := range q[take:] {
-			rejectOverflow(inc)
+		batch = append(batch, q[:take]...)
+		for _, f := range q[take:] {
+			rejectOverflow(f)
 		}
-		queues[m] = nil
+		// The queue keeps its initial storage, the pointers it no longer
+		// owns cleared; storage that a burst being shed grew goes with
+		// the burst.
+		if cap(q) <= s.cfg.MaxBatch {
+			clear(q)
+			queues[m] = q[:0]
+		} else {
+			queues[m] = nil
+		}
 
 		lat := time.Duration(float64(s.cfg.GPU.Curve(m).Latency(take)) * s.cfg.TimeScale * s.Slowdown())
 		lat += time.Duration(s.extraDelay.Load())
 		busy = true
 		s.stats.batches.Add(1)
 		s.instr.Batches.Inc()
-		go func() {
-			// Always deliver the batch to execDone (cut short on
-			// shutdown): it is buffered and at most one batch is in
-			// flight, so the send never blocks, and batchLoop's exit
-			// path can deterministically collect it. Every tracked
-			// request must reach its reply() call or session drains
-			// would deadlock.
-			timer := time.NewTimer(lat)
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-			case <-s.doneCh:
-			}
-			execDone <- batch
-		}()
+		execDone.Reset(lat)
 	}
 
 	// rejectAll resolves requests that will never execute (shutdown);
-	// reply() accounts them as dropped when nobody can receive them.
-	rejectAll := func(batch []incoming) {
-		for _, inc := range batch {
-			inc.reply(&netproto.Response{FrameID: inc.req.FrameID, Rejected: true, TraceID: inc.req.TraceID})
+	// reply accounts them as dropped when nobody can receive them.
+	rejectAll := func(fs []*frameRec) {
+		for _, f := range fs {
+			f.ss.reply(f, true, 0)
 		}
 	}
 
 	for {
 		select {
-		case inc := <-s.reqCh:
-			queues[inc.req.Model] = append(queues[inc.req.Model], inc)
+		case f := <-s.reqCh:
+			q := queues[f.req.Model]
+			if q == nil {
+				q = make([]*frameRec, 0, s.cfg.MaxBatch)
+			}
+			queues[f.req.Model] = append(q, f)
 			if !busy {
 				startBatch()
 			}
-		case batch := <-execDone:
+		case <-execDone.C:
 			n := uint16(len(batch))
-			for _, inc := range batch {
+			for _, f := range batch {
 				s.stats.completed.Add(1)
 				s.instr.Completed.Inc()
-				s.instr.BatchSize.WithUint(uint64(inc.req.Stream)).Observe(float64(n))
-				inc.reply(&netproto.Response{
-					FrameID:   inc.req.FrameID,
-					Label:     int32(inc.req.FrameID % 1000),
-					BatchSize: n,
-					TraceID:   inc.req.TraceID,
-				})
+				s.instr.BatchSize.WithUint(uint64(f.req.Stream)).Observe(float64(n))
+				f.ss.reply(f, false, n)
 			}
+			clear(batch)
+			batch = batch[:0]
 			busy = false
 			startBatch()
 		case <-s.doneCh:
-			if busy {
-				rejectAll(<-execDone)
-			}
+			// Cut the executing batch short: every tracked request must
+			// reach reply or session drains would deadlock. That
+			// includes frames still being sent to reqCh, so keep
+			// receiving until the last read loop has ended (Close has
+			// closed their sockets).
+			execDone.Stop()
+			rejectAll(batch)
 			for _, q := range queues {
 				rejectAll(q)
+			}
+			readersDone := make(chan struct{})
+			go func() {
+				s.readers.Wait()
+				close(readersDone)
+			}()
+			for reading := true; reading; {
+				select {
+				case f := <-s.reqCh:
+					f.ss.reply(f, true, 0)
+				case <-readersDone:
+					reading = false
+				}
+			}
+			for len(s.reqCh) > 0 {
+				f := <-s.reqCh
+				f.ss.reply(f, true, 0)
 			}
 			return
 		}

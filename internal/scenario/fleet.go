@@ -389,6 +389,10 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	}
 
 	cond0 := cfg.Network.At(0)
+	// Every device starts from the same controller state: validate and
+	// build it once, copy it per device.
+	var ctl0 controller.Flat
+	ctl0.Init(cfg.Controller)
 	for i := range f.devs {
 		d := &f.devs[i]
 		p := root.SplitOff(uint64(10 + i))
@@ -398,8 +402,8 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		d.sizeRng = p.SplitOff(4)
 		d.up.Init(&d.upRng, cond0)
 		f.downs[i].Init(&f.downRngs[i], cond0)
-		d.ctl.Init(cfg.Controller)
-		d.po = d.ctl.Po()
+		d.ctl = ctl0
+		d.po = ctl0.Po()
 		d.tenant = int32(i % cfg.Tenants)
 	}
 
